@@ -98,6 +98,8 @@ pub use message::{Action, DgcMessage, DgcResponse, TerminateReason};
 pub use process_graph::ProcessGraph;
 pub use protocol::{DgcState, Phase};
 pub use stats::{ClockBumpReason, DgcStats};
-pub use sweep::{sweep_sharded, ActionSink, SweepPools, SweepScratch, SweepUnit};
+pub use sweep::{
+    sweep_sharded, ActionSink, Due, DueSlot, DueTable, SweepPools, SweepScratch, SweepUnit,
+};
 pub use telemetry::DgcObs;
 pub use units::{Dur, Time};

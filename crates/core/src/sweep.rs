@@ -17,9 +17,18 @@
 //!   unit order of the unsharded sweep, so determinism — and the
 //!   conformance verdicts that hang off it — is preserved by
 //!   construction.
+//! * [`DueTable`] — the runtimes' endpoint store, indexed by deadline:
+//!   finding the due endpoints costs O(due · log n) instead of a walk
+//!   over every hosted activity, and the earliest deadline is a heap
+//!   peek. Its due batches come out in ascending activity-id order,
+//!   which is the order [`sweep_sharded`] expects.
 //!
 //! [`DgcState`]: crate::protocol::DgcState
 //! [`DgcState::on_tick_into`]: crate::protocol::DgcState::on_tick_into
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::ops::{Deref, DerefMut};
 
 use crate::id::AoId;
 use crate::message::Action;
@@ -148,6 +157,220 @@ where
             });
         }
     });
+}
+
+/// One endpoint of a [`DueTable`]: an activity index, its next
+/// deadline and the runtime's per-activity value.
+#[derive(Debug)]
+pub struct DueSlot<T, V> {
+    id: u32,
+    next_tick: T,
+    /// The runtime's per-activity state.
+    pub value: V,
+}
+
+impl<T: Copy, V> DueSlot<T, V> {
+    /// The activity index the slot is keyed by.
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+
+    /// When the endpoint is next due.
+    pub fn next_tick(&self) -> T {
+        self.next_tick
+    }
+
+    /// Moves the endpoint's next deadline. Slots are only reachable
+    /// mutably through a [`Due`] batch, which re-indexes every slot's
+    /// deadline when it is dropped.
+    pub fn set_next_tick(&mut self, at: T) {
+        self.next_tick = at;
+    }
+}
+
+/// Endpoints keyed by activity index and indexed by deadline.
+///
+/// The values live in one dense `Vec` (removal is a `swap_remove`), an
+/// index maps activity index → slot, and a min-heap holds one
+/// `(deadline, index)` entry per endpoint. Heap entries are
+/// invalidated lazily: an entry is live only while its endpoint exists
+/// and still has exactly that deadline. A removed endpoint's entry
+/// therefore lingers until its deadline passes, at most one TTB, and
+/// [`DueTable::take_due`] discards it then.
+#[derive(Debug)]
+pub struct DueTable<T, V> {
+    slots: Vec<DueSlot<T, V>>,
+    index: HashMap<u32, usize>,
+    heap: BinaryHeap<Reverse<(T, u32)>>,
+    /// Slot positions of the batch being gathered, reused across turns.
+    picked: Vec<usize>,
+}
+
+impl<T: Ord + Copy, V> Default for DueTable<T, V> {
+    fn default() -> Self {
+        DueTable {
+            slots: Vec::new(),
+            index: HashMap::new(),
+            heap: BinaryHeap::new(),
+            picked: Vec::new(),
+        }
+    }
+}
+
+impl<T: Ord + Copy, V> DueTable<T, V> {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Endpoints held.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when no endpoint is held.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Heap entries, stale ones included (bounded by the live
+    /// endpoints plus those removed within the last TTB).
+    pub fn heap_len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Inserts `value` under `id`, first due at `next_tick`. An
+    /// existing endpoint under `id` is replaced and returned.
+    pub fn insert(&mut self, id: u32, next_tick: T, value: V) -> Option<V> {
+        self.heap.push(Reverse((next_tick, id)));
+        let slot = DueSlot {
+            id,
+            next_tick,
+            value,
+        };
+        match self.index.get(&id).and_then(|&s| self.slots.get_mut(s)) {
+            Some(old) => Some(std::mem::replace(old, slot).value),
+            None => {
+                self.index.insert(id, self.slots.len());
+                self.slots.push(slot);
+                None
+            }
+        }
+    }
+
+    /// Removes and returns the endpoint under `id`.
+    pub fn remove(&mut self, id: u32) -> Option<V> {
+        let s = self.index.remove(&id)?;
+        if s >= self.slots.len() {
+            return None;
+        }
+        let gone = self.slots.swap_remove(s);
+        if let Some(moved) = self.slots.get(s) {
+            self.index.insert(moved.id, s);
+        }
+        Some(gone.value)
+    }
+
+    /// The endpoint under `id`.
+    pub fn get(&self, id: u32) -> Option<&V> {
+        let &s = self.index.get(&id)?;
+        self.slots.get(s).map(|e| &e.value)
+    }
+
+    /// The endpoint under `id`, mutably.
+    pub fn get_mut(&mut self, id: u32) -> Option<&mut V> {
+        let &s = self.index.get(&id)?;
+        self.slots.get_mut(s).map(|e| &mut e.value)
+    }
+
+    /// Every endpoint, in slot order (not id order).
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
+        self.slots.iter_mut().map(|e| &mut e.value)
+    }
+
+    /// The earliest deadline in the heap: never later than the earliest
+    /// endpoint's, and earlier only while a stale entry sits on top,
+    /// which costs one early wake that discards it.
+    pub fn next_tick(&self) -> Option<T> {
+        self.heap.peek().map(|&Reverse((at, _))| at)
+    }
+
+    /// Whether the heap entry `(at, id)` still names a live deadline.
+    fn live_slot(&self, at: T, id: u32) -> Option<usize> {
+        let &s = self.index.get(&id)?;
+        self.slots
+            .get(s)
+            .is_some_and(|e| e.next_tick == at)
+            .then_some(s)
+    }
+
+    /// Takes every endpoint due at `now` (deadline `<= now`) as one
+    /// batch in ascending id order. Stale heap entries met on the way
+    /// are discarded. Dropping the batch re-indexes each taken slot at
+    /// its deadline as it then stands, so a slot left untouched is
+    /// due again on the next call.
+    pub fn take_due(&mut self, now: T) -> Due<'_, T, V> {
+        let mut picked = std::mem::take(&mut self.picked);
+        picked.clear();
+        while let Some(&Reverse((at, id))) = self.heap.peek() {
+            let live = self.live_slot(at, id);
+            if at > now && live.is_some() {
+                break;
+            }
+            self.heap.pop();
+            picked.extend(live);
+        }
+        // A re-inserted id can own two entries at one deadline.
+        picked.sort_unstable();
+        picked.dedup();
+        let mut entries = Vec::with_capacity(picked.len());
+        let mut rest: &mut [DueSlot<T, V>] = &mut self.slots;
+        let mut base = 0;
+        for &s in &picked {
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut(s - base);
+            if let Some((slot, tail)) = tail.split_first_mut() {
+                entries.push(slot);
+                rest = tail;
+            }
+            base = s + 1;
+        }
+        entries.sort_unstable_by_key(|e| e.id);
+        self.picked = picked;
+        Due {
+            entries,
+            heap: &mut self.heap,
+        }
+    }
+}
+
+/// A batch of due endpoints from [`DueTable::take_due`], in ascending
+/// id order. Dropping it puts each slot back on the deadline heap.
+#[derive(Debug)]
+pub struct Due<'a, T: Ord + Copy, V> {
+    entries: Vec<&'a mut DueSlot<T, V>>,
+    heap: &'a mut BinaryHeap<Reverse<(T, u32)>>,
+}
+
+impl<'a, T: Ord + Copy, V> Deref for Due<'a, T, V> {
+    type Target = [&'a mut DueSlot<T, V>];
+
+    fn deref(&self) -> &Self::Target {
+        &self.entries
+    }
+}
+
+impl<T: Ord + Copy, V> DerefMut for Due<'_, T, V> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.entries
+    }
+}
+
+impl<T: Ord + Copy, V> Drop for Due<'_, T, V> {
+    fn drop(&mut self) {
+        for e in &self.entries {
+            self.heap.push(Reverse((e.next_tick, e.id)));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 //! The link writers in [`crate::peer`] just write what the outbox
 //! flushes: one flush, one frame.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -45,7 +45,7 @@ use dgc_core::egress::{EgressObs, Flush, FlushReason, Outbox};
 use dgc_core::id::AoId;
 use dgc_core::message::{Action, TerminateReason};
 use dgc_core::protocol::DgcState;
-use dgc_core::sweep::{sweep_sharded, SweepPools, SweepUnit};
+use dgc_core::sweep::{sweep_sharded, DueTable, SweepPools, SweepUnit};
 use dgc_core::telemetry::DgcObs;
 use dgc_core::units::Time;
 use dgc_membership::{
@@ -410,7 +410,6 @@ pub enum Event {
 struct Endpoint {
     state: DgcState,
     idle: bool,
-    next_tick: Instant,
 }
 
 /// Registry of every live socket a node's reader threads are blocked
@@ -570,7 +569,7 @@ impl NetNode {
             config,
             rx,
             loopback: tx.clone(),
-            endpoints: BTreeMap::new(),
+            endpoints: DueTable::new(),
             peer_addrs: HashMap::new(),
             links,
             outbox,
@@ -1450,7 +1449,9 @@ struct Worker {
     config: NetConfig,
     rx: mpsc::Receiver<Event>,
     loopback: LoopSender,
-    endpoints: BTreeMap<u32, Endpoint>,
+    /// Hosted activities by index, indexed by next TTB tick: a loop
+    /// turn touches only the due ones.
+    endpoints: DueTable<Instant, Endpoint>,
     peer_addrs: HashMap<u32, SocketAddr>,
     links: Links,
     /// The egress plane: every outgoing unit queues here; the flush
@@ -1885,7 +1886,7 @@ impl Worker {
                 response,
             }),
             Action::Terminate { reason } => {
-                self.endpoints.remove(&who.index);
+                self.endpoints.remove(who.index);
                 self.trace(TraceLevel::Info, "terminate", || {
                     format!("ao {who} ({reason:?})")
                 });
@@ -1916,7 +1917,7 @@ impl Worker {
         }
         let now = self.now();
         match item {
-            Item::Dgc { from, to, message } => match self.endpoints.get_mut(&to.index) {
+            Item::Dgc { from, to, message } => match self.endpoints.get_mut(to.index) {
                 Some(ep) => {
                     let mut units = std::mem::take(&mut self.msg_units);
                     ep.state.on_message_into(now, &message, &mut units);
@@ -1934,14 +1935,14 @@ impl Worker {
                 }
             },
             Item::Resp { from, to, response } => {
-                if let Some(ep) = self.endpoints.get_mut(&to.index) {
+                if let Some(ep) = self.endpoints.get_mut(to.index) {
                     let idle = ep.idle;
                     let actions = ep.state.on_response(now, from, &response, idle);
                     self.apply_actions(to, actions);
                 }
             }
             Item::SendFailure { holder, target } => {
-                if let Some(ep) = self.endpoints.get_mut(&holder.index) {
+                if let Some(ep) = self.endpoints.get_mut(holder.index) {
                     ep.state.on_send_failure(target);
                 }
             }
@@ -2245,18 +2246,14 @@ impl Worker {
                 state.set_obs(DgcObs::new(&self.obs));
                 self.endpoints.insert(
                     id.index,
-                    Endpoint {
-                        state,
-                        idle: false,
-                        // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-                        next_tick: Instant::now()
-                            + Duration::from_nanos(self.config.dgc.ttb.as_nanos()),
-                    },
+                    // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
+                    Instant::now() + Duration::from_nanos(self.config.dgc.ttb.as_nanos()),
+                    Endpoint { state, idle: false },
                 );
             }
             Event::SetIdle { ao, idle } => {
                 let now = self.now();
-                if let Some(ep) = self.endpoints.get_mut(&ao.index) {
+                if let Some(ep) = self.endpoints.get_mut(ao.index) {
                     if idle && !ep.idle {
                         ep.state.on_became_idle(now);
                     }
@@ -2274,12 +2271,12 @@ impl Worker {
                     self.trace(TraceLevel::Info, "ref-reject", || {
                         format!("cross-tenant ref {from} -> {to}")
                     });
-                } else if let Some(ep) = self.endpoints.get_mut(&from.index) {
+                } else if let Some(ep) = self.endpoints.get_mut(from.index) {
                     ep.state.on_stub_deserialized(to);
                 }
             }
             Event::DropRef { from, to } => {
-                if let Some(ep) = self.endpoints.get_mut(&from.index) {
+                if let Some(ep) = self.endpoints.get_mut(from.index) {
                     ep.state.on_stubs_collected(to);
                 }
             }
@@ -2288,11 +2285,12 @@ impl Worker {
     }
 
     /// Runs every endpoint whose TTB tick is due, as **one batched
-    /// sweep**: due endpoints are collected in ascending activity-id
-    /// order, ticked through `on_tick_into` (fanning out across
-    /// `config.sweep_shards` threads when configured), and every
-    /// emitted unit drains into routing afterwards — in exactly the
-    /// order a sequential sweep would have produced. All messages
+    /// sweep**: the deadline-indexed table hands out the due endpoints
+    /// in ascending activity-id order, they tick through `on_tick_into`
+    /// (fanning out across `config.sweep_shards` threads when
+    /// configured), and every emitted unit drains into routing
+    /// afterwards — in exactly the order a sequential sweep would have
+    /// produced. All messages
     /// emitted in one sweep are queued before any link flushes, which
     /// is what lets the per-peer writers coalesce a whole sweep into
     /// one frame; the reused scratch buffers are what keep the sweep
@@ -2301,12 +2299,7 @@ impl Worker {
         // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
         let now_i = Instant::now();
         let now = self.now();
-        let mut due: Vec<(u32, &mut Endpoint)> = self
-            .endpoints
-            .iter_mut()
-            .filter(|(_, ep)| ep.next_tick <= now_i)
-            .map(|(idx, ep)| (*idx, ep))
-            .collect();
+        let mut due = self.endpoints.take_due(now_i);
         if due.is_empty() {
             return;
         }
@@ -2315,11 +2308,14 @@ impl Worker {
             &mut due,
             self.config.sweep_shards,
             &mut pools,
-            |(_, ep), scratch, units| {
+            |slot, scratch, units| {
+                let ep = &mut slot.value;
                 ep.state.on_tick_into(now, ep.idle, scratch, units);
-                ep.next_tick = now_i + Duration::from_nanos(ep.state.current_ttb().as_nanos());
+                let ttb = Duration::from_nanos(ep.state.current_ttb().as_nanos());
+                slot.set_next_tick(now_i + ttb);
             },
         );
+        // Dropping the batch re-indexes every ticked endpoint.
         drop(due);
         for unit in pools.drain_units() {
             self.apply_action(unit.from, unit.action);
@@ -2332,9 +2328,7 @@ impl Worker {
     fn next_wake(&self) -> Instant {
         let mut next_wake = self
             .endpoints
-            .values()
-            .map(|e| e.next_tick)
-            .min()
+            .next_tick()
             // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
             .unwrap_or_else(|| Instant::now() + Duration::from_millis(50));
         if let Some(t) = self.next_member_tick {
@@ -2395,8 +2389,13 @@ impl Worker {
 
     /// The reactor engine's loop turn: park in [`Reactor::poll`] —
     /// socket readiness, reactor timers and (via the waker inside
-    /// [`LoopSender`]) channel sends all interrupt it — translate the
-    /// engine's notices, then drain the channel without blocking.
+    /// [`LoopSender`]) channel sends all interrupt it — drain the
+    /// channel without blocking, then translate the engine's notices.
+    ///
+    /// Commands go first. Anything a notice reacts to was caused by a
+    /// command queued before the poll returned: a peer's heartbeat to
+    /// an activity whose `AddActivity` is still queued must find it
+    /// hosted, not bounce as a send failure that drops a live edge.
     fn run_reactor(&mut self) {
         let mut notices: Vec<Notice> = Vec::new();
         loop {
@@ -2407,46 +2406,55 @@ impl Worker {
             // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
             let timeout = next_wake.saturating_duration_since(Instant::now());
             self.reactor_mut().poll(timeout, &mut notices);
-            for notice in notices.drain(..) {
-                match notice {
-                    Notice::Item(item) => self.handle_item(item),
-                    Notice::PeerUnreachable { node, unsent } => {
-                        self.on_peer_unreachable(node, unsent)
-                    }
-                    Notice::Undeliverable {
-                        node,
-                        items,
-                        reroute,
-                    } => {
-                        if reroute {
-                            self.reroute_or_fail(node, items);
-                        } else {
-                            self.fail_items(items);
-                        }
-                    }
-                }
-            }
             loop {
-                match self.rx.try_recv() {
-                    Ok(event) => {
-                        if !self.handle(event) {
-                            // Shutdown flushed the egress plane into the
-                            // reactor's queues; give the sockets a
-                            // bounded grace to carry it out.
-                            self.reactor_mut().drain(Duration::from_millis(300));
-                            return;
-                        }
+                let stop = match self.rx.try_recv() {
+                    Ok(Event::Shutdown) => {
+                        // What the poll already read is delivered
+                        // before the egress plane's last flush.
+                        self.handle_notices(&mut notices);
+                        self.handle(Event::Shutdown);
+                        true
                     }
+                    Ok(event) => !self.handle(event),
                     Err(mpsc::TryRecvError::Empty) => break,
                     Err(mpsc::TryRecvError::Disconnected) => {
-                        self.reactor_mut().drain(Duration::from_millis(300));
-                        return;
+                        self.handle_notices(&mut notices);
+                        true
                     }
+                };
+                if stop {
+                    // Shutdown flushed the egress plane into the
+                    // reactor's queues; give the sockets a bounded
+                    // grace to carry it out.
+                    self.reactor_mut().drain(Duration::from_millis(300));
+                    return;
                 }
             }
+            self.handle_notices(&mut notices);
             self.tick_due();
             self.membership_due();
             self.flush_due();
+        }
+    }
+
+    /// Acts on the notices one reactor poll produced.
+    fn handle_notices(&mut self, notices: &mut Vec<Notice>) {
+        for notice in notices.drain(..) {
+            match notice {
+                Notice::Item(item) => self.handle_item(item),
+                Notice::PeerUnreachable { node, unsent } => self.on_peer_unreachable(node, unsent),
+                Notice::Undeliverable {
+                    node,
+                    items,
+                    reroute,
+                } => {
+                    if reroute {
+                        self.reroute_or_fail(node, items);
+                    } else {
+                        self.fail_items(items);
+                    }
+                }
+            }
         }
     }
 }

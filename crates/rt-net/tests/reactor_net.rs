@@ -179,3 +179,80 @@ fn cross_node_cycle_is_collected_on_the_reactor_engine() {
     );
     cluster.shutdown();
 }
+
+#[test]
+fn heartbeat_never_overtakes_a_queued_add_activity() {
+    // A command queued before a peer's item was even sent must take
+    // effect before that item is dispatched. Here: `add_activity` on
+    // node 1, then at once a cross-node `add_ref` from node 0, with no
+    // sync between them. Node 0's first heartbeat to the new activity
+    // can reach node 1's socket before node 1's loop has applied the
+    // queued `AddActivity`; dispatched first, it bounces as a send
+    // failure and the referencer drops a live edge.
+    //
+    // Node 1 hosts a ring of busy activities beating one another, so
+    // its loop spends long stretches sweeping (longest in an
+    // unoptimised build), and the race is hit often when the loop gets
+    // the order wrong. Each target gets four referencers: enough that
+    // one beats soon after the `add_ref`, few enough that node 0 keeps
+    // up with the beats.
+    const RING: usize = 10_000;
+    const ATTEMPTS: usize = 200;
+    // A generous TTA: the loaded loop must never look like silence.
+    let config = NetConfig::new(
+        DgcConfig::builder()
+            .ttb(Dur::from_millis(25))
+            .tta(Dur::from_millis(300))
+            .max_comm(Dur::from_millis(100))
+            .build(),
+    )
+    .engine(IoEngine::Reactor);
+    let cluster = Cluster::listen_local(2, config).unwrap();
+    let ring: Vec<AoId> = (0..RING).map(|_| cluster.add_activity(1)).collect();
+    for (i, &a) in ring.iter().enumerate() {
+        cluster.add_ref(a, ring[(i + 1) % RING]);
+    }
+    // Busy referencers on node 0, created apart so their beats spread
+    // over a TTB: some referencer is always about to beat.
+    let roots: Vec<AoId> = (0..8)
+        .map(|_| {
+            let r = cluster.add_activity(0);
+            std::thread::sleep(Duration::from_millis(3));
+            r
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(100));
+    let mut targets = Vec::new();
+    for k in 0..ATTEMPTS {
+        let b = cluster.add_activity(1);
+        for r in roots.iter().cycle().skip(k).take(4) {
+            cluster.add_ref(*r, b);
+        }
+        cluster.set_idle(b, true);
+        targets.push(b);
+        std::thread::sleep(Duration::from_micros(500));
+    }
+    // Long enough for an unreferenced target to be collected (TTA).
+    std::thread::sleep(Duration::from_millis(500));
+    let lost: u64 = (0..2)
+        .map(|n| {
+            cluster
+                .obs(n)
+                .unwrap()
+                .counter("dgc.clock_bumps.lost_referenced")
+                .get()
+        })
+        .sum();
+    let collected: Vec<AoId> = cluster
+        .terminated()
+        .iter()
+        .map(|t| t.ao)
+        .filter(|ao| targets.contains(ao))
+        .collect();
+    cluster.shutdown();
+    assert_eq!(lost, 0, "referencers dropped live edges");
+    assert!(
+        collected.is_empty(),
+        "referenced targets collected: {collected:?}"
+    );
+}

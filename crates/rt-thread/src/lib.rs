@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -27,7 +26,7 @@ use dgc_core::config::DgcConfig;
 use dgc_core::id::AoId;
 use dgc_core::message::{Action, DgcMessage, DgcResponse, TerminateReason};
 use dgc_core::protocol::DgcState;
-use dgc_core::sweep::{sweep_sharded, SweepPools};
+use dgc_core::sweep::{sweep_sharded, DueTable, SweepPools};
 use dgc_core::units::Time;
 
 /// A recorded termination, visible to the driver.
@@ -75,13 +74,12 @@ enum NodeMsg {
 struct Endpoint {
     state: DgcState,
     idle: bool,
-    next_tick: Instant,
 }
 
 struct NodeWorker {
     rx: Receiver<NodeMsg>,
     peers: Vec<Sender<NodeMsg>>,
-    endpoints: BTreeMap<u32, Endpoint>,
+    endpoints: DueTable<Instant, Endpoint>,
     epoch: Instant,
     config: DgcConfig,
     /// TTB sweep fan-out (`DGC_SWEEP_SHARDS`, default 1) plus the
@@ -130,7 +128,7 @@ impl NodeWorker {
                 );
             }
             Action::Terminate { reason } => {
-                self.endpoints.remove(&who.index);
+                self.endpoints.remove(who.index);
                 self.terminated.lock().push(Terminated { ao: who, reason });
             }
             _ => {}
@@ -144,17 +142,16 @@ impl NodeWorker {
             NodeMsg::AddActivity { id } => {
                 self.endpoints.insert(
                     id.index,
+                    // dgc-analysis: allow(wall-clock): the in-process runtime times real thread wake-ups
+                    Instant::now() + Duration::from_nanos(self.config.ttb.as_nanos()),
                     Endpoint {
                         state: DgcState::new(id, now, self.config),
                         idle: false,
-                        // dgc-analysis: allow(wall-clock): the in-process runtime times real thread wake-ups
-                        next_tick: Instant::now()
-                            + Duration::from_nanos(self.config.ttb.as_nanos()),
                     },
                 );
             }
             NodeMsg::SetIdle { ao, idle } => {
-                if let Some(ep) = self.endpoints.get_mut(&ao.index) {
+                if let Some(ep) = self.endpoints.get_mut(ao.index) {
                     if idle && !ep.idle {
                         ep.state.on_became_idle(now);
                     }
@@ -162,17 +159,17 @@ impl NodeWorker {
                 }
             }
             NodeMsg::AddRef { from, to } => {
-                if let Some(ep) = self.endpoints.get_mut(&from.index) {
+                if let Some(ep) = self.endpoints.get_mut(from.index) {
                     ep.state.on_stub_deserialized(to);
                 }
             }
             NodeMsg::DropRef { from, to } => {
-                if let Some(ep) = self.endpoints.get_mut(&from.index) {
+                if let Some(ep) = self.endpoints.get_mut(from.index) {
                     ep.state.on_stubs_collected(to);
                 }
             }
             NodeMsg::Dgc { from, to, message } => {
-                match self.endpoints.get_mut(&to.index) {
+                match self.endpoints.get_mut(to.index) {
                     Some(ep) => {
                         let actions = ep.state.on_message(now, &message);
                         self.apply_actions(to, actions);
@@ -190,14 +187,14 @@ impl NodeWorker {
                 }
             }
             NodeMsg::Resp { from, to, response } => {
-                if let Some(ep) = self.endpoints.get_mut(&to.index) {
+                if let Some(ep) = self.endpoints.get_mut(to.index) {
                     let idle = ep.idle;
                     let actions = ep.state.on_response(now, from, &response, idle);
                     self.apply_actions(to, actions);
                 }
             }
             NodeMsg::SendFailure { holder, target } => {
-                if let Some(ep) = self.endpoints.get_mut(&holder.index) {
+                if let Some(ep) = self.endpoints.get_mut(holder.index) {
                     ep.state.on_send_failure(target);
                 }
             }
@@ -205,8 +202,8 @@ impl NodeWorker {
         true
     }
 
-    /// One batched TTB sweep over every due endpoint: collected in
-    /// ascending activity-id order, ticked through `on_tick_into`
+    /// One batched TTB sweep over every due endpoint: taken from the
+    /// deadline-indexed table in ascending activity-id order, ticked through `on_tick_into`
     /// (across `sweep_shards` threads when configured) with reused
     /// scratch buffers, emitted units routed afterwards in exactly the
     /// sequential order.
@@ -214,12 +211,7 @@ impl NodeWorker {
         // dgc-analysis: allow(wall-clock): the in-process runtime times real thread wake-ups
         let now_i = Instant::now();
         let now = self.now();
-        let mut due: Vec<(u32, &mut Endpoint)> = self
-            .endpoints
-            .iter_mut()
-            .filter(|(_, ep)| ep.next_tick <= now_i)
-            .map(|(idx, ep)| (*idx, ep))
-            .collect();
+        let mut due = self.endpoints.take_due(now_i);
         if due.is_empty() {
             return;
         }
@@ -228,11 +220,14 @@ impl NodeWorker {
             &mut due,
             self.sweep_shards,
             &mut pools,
-            |(_, ep), scratch, units| {
+            |slot, scratch, units| {
+                let ep = &mut slot.value;
                 ep.state.on_tick_into(now, ep.idle, scratch, units);
-                ep.next_tick = now_i + Duration::from_nanos(ep.state.current_ttb().as_nanos());
+                let ttb = Duration::from_nanos(ep.state.current_ttb().as_nanos());
+                slot.set_next_tick(now_i + ttb);
             },
         );
+        // Dropping the batch re-indexes every ticked endpoint.
         drop(due);
         for unit in pools.drain_units() {
             self.apply_action(unit.from, unit.action);
@@ -244,9 +239,7 @@ impl NodeWorker {
         loop {
             let next_tick = self
                 .endpoints
-                .values()
-                .map(|e| e.next_tick)
-                .min()
+                .next_tick()
                 // dgc-analysis: allow(wall-clock): the in-process runtime times real thread wake-ups
                 .unwrap_or_else(|| Instant::now() + Duration::from_millis(50));
             // dgc-analysis: allow(wall-clock): the in-process runtime times real thread wake-ups
@@ -293,7 +286,7 @@ impl ThreadGrid {
             let worker = NodeWorker {
                 rx,
                 peers: senders.clone(),
-                endpoints: BTreeMap::new(),
+                endpoints: DueTable::new(),
                 epoch,
                 config,
                 sweep_shards: std::env::var("DGC_SWEEP_SHARDS")

@@ -40,6 +40,11 @@ impl Shared {
     pub(crate) fn clear(&self) {
         self.state.lock().unwrap().woken = false;
     }
+
+    #[cfg(test)]
+    pub(crate) fn woken(&self) -> bool {
+        self.state.lock().unwrap().woken
+    }
 }
 
 pub(crate) struct Emu {
@@ -115,8 +120,9 @@ impl Emu {
             st = self.shared.cv.wait_timeout(st, slice).unwrap().0;
         }
         let mut pushed = 0;
+        // Level-triggered like the pipe: the waker reports until its
+        // `clear`.
         if st.woken {
-            st.woken = false;
             if let Some(key) = st.waker_key {
                 out.push(PollEvent {
                     key,

@@ -14,7 +14,8 @@
 //!   readiness costs only wasted `WouldBlock` syscalls, never blocking.
 //! - [`Waker`] — cross-thread wakeup for a parked [`Poller::wait`]
 //!   (a nonblocking pipe registered with epoll, or a flag + condvar for
-//!   the emulated backend).
+//!   the emulated backend). An atomic flag in front of either makes
+//!   wakes coalesce into one signal per [`Waker::clear`].
 //! - [`connect_nonblocking`] / [`take_socket_error`] — initiate a TCP
 //!   connect without blocking the loop and harvest its completion status
 //!   (`SO_ERROR`) once the socket polls writable.
@@ -29,6 +30,7 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 mod emu;
@@ -214,12 +216,14 @@ impl Poller {
                 ep.add(pipe.read_fd, key, Interest::READ)?;
                 Ok(Waker {
                     inner: WakerInner::Pipe(pipe),
+                    signalled: AtomicBool::new(false),
                 })
             }
             Backend::Emulated(e) => {
                 e.set_waker(key);
                 Ok(Waker {
                     inner: WakerInner::Flag(e.shared()),
+                    signalled: AtomicBool::new(false),
                 })
             }
         }
@@ -235,13 +239,22 @@ enum WakerInner {
 /// Wakes a [`Poller::wait`] parked on another thread.
 pub struct Waker {
     inner: WakerInner,
+    /// Set by the first `wake` after a `clear`: while it is set, the
+    /// backend already holds a signal and further wakes are free.
+    signalled: AtomicBool,
 }
 
 impl Waker {
     /// Interrupts the poller; its next (or current) `wait` reports a
-    /// readable event on the waker's key. Coalesces: many wakes before a
-    /// `clear` surface as one event.
+    /// readable event on the waker's key until [`Waker::clear`]. Only
+    /// the first wake after a `clear` reaches the backend (one pipe
+    /// write, or one condvar notify); the rest cost one atomic swap, so
+    /// any number of wakes between two clears is one syscall and one
+    /// event.
     pub fn wake(&self) {
+        if self.signalled.swap(true, Ordering::AcqRel) {
+            return;
+        }
         match &self.inner {
             #[cfg(target_os = "linux")]
             WakerInner::Pipe(p) => p.signal(),
@@ -250,12 +263,34 @@ impl Waker {
     }
 
     /// Drains the wake signal; call when handling the waker's event so
-    /// the poller can park again.
+    /// the poller can park again. Work a waker announces must be looked
+    /// for *after* this returns.
     pub fn clear(&self) {
+        // Drain first, then re-arm. Re-arming first would let a wake
+        // land in between: its signal would be drained while the flag
+        // stays set, and every later wake would skip the backend.
+        match &self.inner {
+            #[cfg(target_os = "linux")]
+            WakerInner::Pipe(p) => {
+                p.drain();
+            }
+            WakerInner::Flag(s) => s.clear(),
+        }
+        // A swap, not a store: reading the flag synchronizes with the
+        // wakes that found it set, so their work is visible here.
+        self.signalled.swap(false, Ordering::AcqRel);
+    }
+}
+
+#[cfg(test)]
+impl Waker {
+    /// Signals the backend holds: pipe tokens (read out of the pipe) or
+    /// the emulation's pending-wake flag.
+    fn take_signals(&self) -> usize {
         match &self.inner {
             #[cfg(target_os = "linux")]
             WakerInner::Pipe(p) => p.drain(),
-            WakerInner::Flag(s) => s.clear(),
+            WakerInner::Flag(s) => s.woken() as usize,
         }
     }
 }
@@ -406,6 +441,121 @@ mod tests {
         );
         waker.clear();
         t.join().unwrap();
+    }
+
+    /// The platform's poller (which honours `DGC_POLL_EMULATION`) and
+    /// the emulation, so both backends run in every leg.
+    fn backends() -> Vec<Poller> {
+        vec![Poller::new().unwrap(), Poller::emulated()]
+    }
+
+    #[test]
+    fn wakes_coalesce_into_one_signal_and_one_event() {
+        for poller in backends() {
+            let waker = poller.waker(0).unwrap();
+            for _ in 0..10_000 {
+                waker.wake();
+            }
+            let mut evs = Vec::new();
+            poller
+                .wait(&mut evs, Some(Duration::from_millis(100)))
+                .unwrap();
+            assert_eq!(
+                evs.iter().filter(|e| e.key == 0).count(),
+                1,
+                "one readiness event (emulated: {})",
+                poller.is_emulated()
+            );
+            assert_eq!(
+                waker.take_signals(),
+                1,
+                "one signal in the backend (emulated: {})",
+                poller.is_emulated()
+            );
+            waker.clear();
+            evs.clear();
+            poller
+                .wait(&mut evs, Some(Duration::from_millis(5)))
+                .unwrap();
+            assert!(!evs.iter().any(|e| e.key == 0), "cleared waker still fired");
+            // Re-armed: the next wake signals again.
+            waker.wake();
+            assert!(
+                wait_for(&poller, |e| e.key == 0),
+                "re-armed waker never fired"
+            );
+            waker.clear();
+        }
+    }
+
+    #[test]
+    fn wake_racing_clear_never_strands_a_wake() {
+        use std::sync::atomic::AtomicU64;
+        const WAKES: u64 = 20_000;
+        for poller in backends() {
+            let waker = Arc::new(poller.waker(0).unwrap());
+            // `posted` is raised before each wake and `landed` after it
+            // returns; the poller raises `clearing` as it enters each
+            // clear and publishes `seen` (everything posted before that
+            // clear returned) after it.
+            let posted = Arc::new(AtomicU64::new(0));
+            let landed = Arc::new(AtomicU64::new(0));
+            let clearing = Arc::new(AtomicU64::new(0));
+            let seen_by_poller = Arc::new(AtomicU64::new(0));
+            let writer = {
+                let (waker, posted, landed, clearing, seen) = (
+                    Arc::clone(&waker),
+                    Arc::clone(&posted),
+                    Arc::clone(&landed),
+                    Arc::clone(&clearing),
+                    Arc::clone(&seen_by_poller),
+                );
+                std::thread::spawn(move || {
+                    let start = Instant::now();
+                    let mut clears = 0;
+                    for i in 1..=WAKES {
+                        // Aim each wake at a clear in progress, or wake
+                        // a poller that has taken everything.
+                        loop {
+                            let c = clearing.load(Ordering::SeqCst);
+                            if c > clears || seen.load(Ordering::SeqCst) == i - 1 {
+                                clears = c;
+                                break;
+                            }
+                            if start.elapsed() > Duration::from_secs(30) {
+                                return; // the poller gave up
+                            }
+                            std::hint::spin_loop();
+                        }
+                        posted.store(i, Ordering::SeqCst);
+                        waker.wake();
+                        landed.store(i, Ordering::SeqCst);
+                    }
+                })
+            };
+            let mut seen = 0;
+            let mut evs = Vec::new();
+            while seen < WAKES {
+                let landed_before = landed.load(Ordering::SeqCst);
+                evs.clear();
+                poller.wait(&mut evs, Some(Duration::from_secs(5))).unwrap();
+                if evs.iter().any(|e| e.key == 0) {
+                    clearing.fetch_add(1, Ordering::SeqCst);
+                    waker.clear();
+                    seen = posted.load(Ordering::SeqCst);
+                    seen_by_poller.store(seen, Ordering::SeqCst);
+                } else {
+                    // A wake that returned after the last clear and
+                    // before this park must have interrupted it.
+                    assert!(
+                        landed_before <= seen,
+                        "parked past wake {landed_before} (seen {seen}, emulated: {})",
+                        poller.is_emulated()
+                    );
+                }
+            }
+            writer.join().unwrap();
+        }
     }
 
     #[test]

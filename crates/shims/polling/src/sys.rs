@@ -176,13 +176,25 @@ pub(crate) fn pipe_nonblocking() -> io::Result<Pipe> {
 
 impl Pipe {
     pub(crate) fn signal(&self) {
-        // EAGAIN means the pipe already holds a wake token: coalesced.
+        // EAGAIN means the pipe is full of wake tokens: still readable.
         unsafe { write(self.write_fd, [1u8].as_ptr(), 1) };
     }
 
-    pub(crate) fn drain(&self) {
+    /// Empties the pipe; returns the tokens read.
+    pub(crate) fn drain(&self) -> usize {
         let mut buf = [0u8; 64];
-        while unsafe { read(self.read_fd, buf.as_mut_ptr(), buf.len()) } > 0 {}
+        let mut total = 0;
+        loop {
+            let n = unsafe { read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
+            if n <= 0 {
+                return total;
+            }
+            total += n as usize;
+            if (n as usize) < buf.len() {
+                // Short read: the pipe is empty; skip the EAGAIN call.
+                return total;
+            }
+        }
     }
 }
 
